@@ -346,7 +346,7 @@ func (f *Fleet) settle(path, id string, p *pub, rep *replica, keyHash uint64, hd
 	} else {
 		delete(doc, "exposure_warning")
 	}
-	body, err := json.MarshalIndent(doc, "", "  ")
+	body, err := json.Marshal(doc)
 	if err != nil {
 		return resp
 	}
@@ -563,7 +563,7 @@ func (f *Fleet) handlePublish(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, f.pubView(id))
+	serve.WriteJSON(w, http.StatusOK, f.pubView(id))
 }
 
 func (f *Fleet) handleRefresh(w http.ResponseWriter, r *http.Request) {
@@ -585,7 +585,7 @@ func (f *Fleet) handleRefresh(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, http.StatusInternalServerError, serve.CodeInternal, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, f.pubView(req.ID))
+	serve.WriteJSON(w, http.StatusOK, f.pubView(req.ID))
 }
 
 // handleInsert routes one insert batch. Inserts mutate replica state, so
@@ -745,7 +745,7 @@ func (f *Fleet) handlePublications(w http.ResponseWriter, r *http.Request) {
 	for _, id := range ids {
 		out = append(out, f.pubView(id))
 	}
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSONIndent(w, http.StatusOK, out)
 }
 
 func (f *Fleet) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -757,7 +757,7 @@ func (f *Fleet) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if st.Alive == 0 {
 		status = "down"
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":   status,
 		"alive":    st.Alive,
 		"replicas": st.Replicas,
@@ -765,13 +765,5 @@ func (f *Fleet) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (f *Fleet) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, f.Stats())
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	serve.WriteJSONIndent(w, http.StatusOK, f.Stats())
 }

@@ -45,6 +45,9 @@ type Reconstruction struct {
 	// subset is empty.
 	Size int `json:"size"`
 	// Freqs is the estimated sensitive-value distribution keyed by label.
+	// The server writes it straight from the engine's dense estimates
+	// (appendReconstructResponse) and never fills this map; clients decode
+	// into it.
 	Freqs map[string]float64 `json:"freqs,omitempty"`
 	Error string             `json:"error,omitempty"`
 }
@@ -75,8 +78,10 @@ func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
+	st := binPool.Get().(*binScratch)
+	defer binPool.Put(st)
 	var req reconstructRequest
-	if !s.decode(w, r, &req) {
+	if !s.readJSON(w, r, st, &req, func() bool { return st.decodeReconstructJSON(&req) }) {
 		return
 	}
 	if len(req.Subsets) == 0 {
@@ -116,39 +121,31 @@ func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 		Clamp:   req.Clamp,
 	})
 
-	sa := pub.Orig.SAAttr()
-	out := ReconstructResponse{ID: pub.ID, Results: make([]Reconstruction, len(recs))}
+	// A resolution failure replaces its set's engine result, and the
+	// encoder renders recs as they stand: frequencies stay dense by
+	// sensitive code and go out under their labels in the publication's
+	// precomputed key order.
 	var errs uint64
-	for i, rec := range recs {
-		rj := Reconstruction{Size: rec.Size}
-		switch {
-		case resolveErr[i] != nil:
-			rj = Reconstruction{Error: resolveErr[i].Error()}
-		case rec.Err != nil:
-			rj = Reconstruction{Error: rec.Err.Error()}
-		case rec.Freqs != nil:
-			rj.Freqs = make(map[string]float64, len(rec.Freqs))
-			for v, f := range rec.Freqs {
-				rj.Freqs[sa.Label(uint16(v))] = f
-			}
+	for i := range recs {
+		if resolveErr[i] != nil {
+			recs[i] = reconstruct.Reconstruction{Err: resolveErr[i]}
 		}
-		if rj.Error != "" {
+		if recs[i].Err != nil {
 			errs++
 		}
-		out.Results[i] = rj
 	}
-
-	out.Client = client
-	out.Charged = charged
-	out.ClientQueries, out.BudgetRemaining, out.BudgetExact, out.ExposureWarning = s.ledgerValues(bres)
+	l := ledgerFields{client: client, charged: charged}
+	l.clientQueries, l.remaining, l.exact, l.warn = s.ledgerValues(bres)
 
 	s.reconstructBatches.Add(1)
 	s.reconstructions.Add(uint64(len(req.Subsets)))
 	s.queryErrors.Add(errs)
 	elapsed := time.Since(start)
 	s.lat.Observe(elapsed)
-	out.ServeMicros = elapsed.Microseconds()
-	writeJSON(w, http.StatusOK, out)
+	l.serveMicros = elapsed.Microseconds()
+	var err error
+	st.out, err = appendReconstructResponse(st.out[:0], pub.ID, recs, pub.freqKeys, l)
+	writeEncoded(w, http.StatusOK, st.out, err)
 }
 
 // Audit endpoint defaults and caps.
@@ -322,7 +319,7 @@ func writeAudit(w http.ResponseWriter, res *auditResponse, cached bool, top int)
 	if top < len(out.Top) {
 		out.Top = out.Top[:top]
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // runAudit executes the parallel group sweep for one publication.

@@ -17,7 +17,8 @@ import (
 
 // This file is the binary hot path: POST /query and POST /reconstruct
 // bodies sent with Content-Type: application/x-rp-binary are decoded as
-// internal/wire frames and answered in kind. The semantics are identical
+// internal/wire frames and answered in kind. (The JSON handlers read their
+// bodies through the same pooled scratch; see jsoncodec.go.) The semantics are identical
 // to the JSON path — same validation order, same limits, same exposure
 // accounting, same typed failures (errors are always the JSON ErrorBody
 // envelope, whatever the request encoding, so the fleet's error taxonomy
@@ -45,6 +46,16 @@ type binScratch struct {
 	ikeys   [][]uint16
 	ikarena []uint16
 	isas    []uint16
+
+	// JSON-path scratch (jsoncodec.go): the scanner with its unescaping
+	// buffer, decoded queries and condition sets over one condition arena,
+	// and the label intern table.
+	scan     jsonScanner
+	jqueries []QueryJSON
+	jconds   []CondJSON
+	jspans   []condSpan
+	jsubsets [][]CondJSON
+	labels   labelTable
 }
 
 var binPool = sync.Pool{New: func() any { return new(binScratch) }}

@@ -84,7 +84,7 @@ func WriteError(w http.ResponseWriter, status int, code ErrorCode, err error) {
 		w.Header().Set("Retry-After", retryAfterSecs)
 	}
 	msg := err.Error()
-	writeJSON(w, status, ErrorBody{Code: code, Message: msg, Error: msg})
+	WriteJSON(w, status, ErrorBody{Code: code, Message: msg, Error: msg})
 }
 
 // WriteErrorRetryAfter is WriteError with a computed Retry-After instead of
@@ -99,7 +99,7 @@ func WriteErrorRetryAfter(w http.ResponseWriter, status int, code ErrorCode, err
 	}
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	msg := err.Error()
-	writeJSON(w, status, ErrorBody{Code: code, Message: msg, Error: msg})
+	WriteJSON(w, status, ErrorBody{Code: code, Message: msg, Error: msg})
 }
 
 // DecodeErrorCode extracts the typed code from an error response, falling

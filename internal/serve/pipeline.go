@@ -192,6 +192,7 @@ func (s *Server) buildPublication(e *Entry, generation int) (*Publication, error
 		Groups:     rawGroups,
 		Orig:       raw.Schema,
 		mapping:    mapping,
+		freqKeys:   freqKeysOf(raw.Schema.SAAttr().Values),
 	}, nil
 }
 

@@ -225,6 +225,11 @@ type Publication struct {
 	// (nil entries: attribute unchanged).
 	Orig    *dataset.Schema
 	mapping []*dataset.ValueMapping
+
+	// freqKeys orders the sensitive values the way encoding/json orders a
+	// label-keyed map, each with its rendered key, so POST /reconstruct
+	// writes dense frequencies without building a map per result.
+	freqKeys []freqKey
 }
 
 // Digest returns a deterministic fingerprint of everything the publication

@@ -475,7 +475,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	if e.state.Load() == statePending {
 		code = http.StatusAccepted
 	}
-	writeJSON(w, code, out)
+	WriteJSON(w, code, out)
 }
 
 func (s *Server) handlePublications(w http.ResponseWriter, r *http.Request) {
@@ -490,7 +490,7 @@ func (s *Server) handlePublications(w http.ResponseWriter, r *http.Request) {
 			WriteError(w, http.StatusNotFound, CodeNotFound, fmt.Errorf("no publication %q", id))
 			return
 		}
-		writeJSON(w, http.StatusOK, entryJSON(e, withDomains))
+		WriteJSONIndent(w, http.StatusOK, entryJSON(e, withDomains))
 		return
 	}
 	entries := s.reg.list()
@@ -498,7 +498,7 @@ func (s *Server) handlePublications(w http.ResponseWriter, r *http.Request) {
 	for _, e := range entries {
 		out = append(out, entryJSON(e, withDomains))
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSONIndent(w, http.StatusOK, out)
 }
 
 // queryRequest is the body of POST /query.
@@ -550,8 +550,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
+	st := binPool.Get().(*binScratch)
+	defer binPool.Put(st)
 	var req queryRequest
-	if !s.decode(w, r, &req) {
+	if !s.readJSON(w, r, st, &req, func() bool { return st.decodeQueryJSON(&req) }) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -612,7 +614,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	elapsed := time.Since(start)
 	s.lat.Observe(elapsed)
 	out.ServeMicros = elapsed.Microseconds()
-	writeJSON(w, http.StatusOK, out)
+	var err error
+	st.out, err = appendQueryResponse(st.out[:0], &out)
+	writeEncoded(w, http.StatusOK, st.out, err)
 }
 
 // resolvePublication loads the ready publication behind id, handling the
@@ -681,12 +685,12 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusInternalServerError, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, entryJSON(e, false))
+		WriteJSON(w, http.StatusOK, entryJSON(e, false))
 		return
 	}
 	s.refreshes.Add(1)
 	go s.sf.Do("refresh:"+req.ID, s.refreshRun(e, req.ID))
-	writeJSON(w, http.StatusAccepted, entryJSON(e, false))
+	WriteJSON(w, http.StatusAccepted, entryJSON(e, false))
 }
 
 // Refresh republishes the publication behind id with a fresh generation and
@@ -848,11 +852,11 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	resp.ID = req.ID
 	s.inserts.Add(uint64(resp.Inserted))
 	s.absorbed.Add(uint64(resp.Absorbed))
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"uptime_seconds": s.now().Sub(s.start).Seconds(),
 	})
@@ -1044,7 +1048,7 @@ func (s *Server) ClientExposure(client string) int64 {
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSONIndent(w, http.StatusOK, s.Stats())
 }
 
 // --- exposure accounting ---
@@ -1117,10 +1121,30 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	return true
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON sends v as one compact JSON document and a newline — the
+// response writer of every endpoint but the operator-facing /statsz and
+// /publications. v is marshalled before the header goes out, so a value
+// that cannot be encoded becomes a typed 500 internal, never an empty 200.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	writeEncoded(w, status, append(body, '\n'), err)
+}
+
+// WriteJSONIndent is WriteJSON with two-space indentation, kept for the
+// operator-facing /statsz and /publications views that people read raw.
+func WriteJSONIndent(w http.ResponseWriter, status int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	writeEncoded(w, status, append(body, '\n'), err)
+}
+
+// writeEncoded sends an encoded JSON body, or a typed 500 when encoding
+// failed — nothing is written before, so the failure can still be typed.
+func writeEncoded(w http.ResponseWriter, status int, body []byte, err error) {
+	if err != nil {
+		WriteError(w, http.StatusInternalServerError, CodeInternal, fmt.Errorf("encoding response: %v", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.WriteHeader(status)
+	w.Write(body)
 }

@@ -146,6 +146,7 @@ func (s *Server) buildFromIncState(e *Entry, snap *PublicationSnapshot) (*Public
 		Groups:     rawGS,
 		Orig:       raw.Schema,
 		mapping:    make([]*dataset.ValueMapping, raw.Schema.NumAttrs()),
+		freqKeys:   freqKeysOf(raw.Schema.SAAttr().Values),
 	}, nil
 }
 
@@ -164,7 +165,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, CodeNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, snap)
+	WriteJSON(w, http.StatusOK, snap)
 }
 
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
@@ -177,7 +178,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, entryJSON(e, false))
+	WriteJSON(w, http.StatusOK, entryJSON(e, false))
 }
 
 // digestResponse is the body of GET /digest — the replica-agreement probe
@@ -204,5 +205,5 @@ func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, digestResponse{ID: pub.ID, Generation: pub.Generation, Digest: pub.Digest()})
+	WriteJSON(w, http.StatusOK, digestResponse{ID: pub.ID, Generation: pub.Generation, Digest: pub.Digest()})
 }
