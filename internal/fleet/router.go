@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -16,9 +15,6 @@ import (
 	"github.com/reconpriv/reconpriv/internal/stats"
 	"github.com/reconpriv/reconpriv/internal/wire"
 )
-
-// maxBodyBytes bounds proxied request bodies (matches the serve limit).
-const maxBodyBytes = 64 << 20
 
 // maxIdempotencyEntries bounds the replay cache; beyond it the oldest
 // entries are evicted FIFO.
@@ -50,6 +46,34 @@ type requestHead struct {
 	Client string `json:"client"`
 }
 
+// readRouted reads a routed request's body and its routing head — the
+// publication id and client, whatever the encoding — and looks the
+// publication up; the rest of the body is opaque and forwarded
+// byte-for-byte. A false return means the typed rejection is already
+// written.
+func (f *Fleet) readRouted(w http.ResponseWriter, r *http.Request) (body []byte, head requestHead, p *pub, binary, ok bool) {
+	if body, ok = serve.ReadBody(w, r, nil); !ok {
+		return nil, head, nil, false, false
+	}
+	binary = r.Header.Get("Content-Type") == wire.ContentType
+	if binary {
+		h, err := wire.PeekHead(body)
+		if err != nil {
+			serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Errorf("bad binary frame: %w", err))
+			return nil, head, nil, false, false
+		}
+		head = requestHead{ID: string(h.ID), Client: string(h.Client)}
+	} else if err := json.Unmarshal(body, &head); err != nil {
+		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Errorf("bad request body: %v", err))
+		return nil, head, nil, false, false
+	}
+	if p = f.lookup(head.ID); p == nil {
+		serve.WriteError(w, http.StatusNotFound, serve.CodeNotFound, fmt.Errorf("no publication %q", head.ID))
+		return nil, head, nil, false, false
+	}
+	return body, head, p, binary, true
+}
+
 func (f *Fleet) proxyHandler(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		f.proxy(w, r, path)
@@ -62,34 +86,8 @@ func (f *Fleet) proxyHandler(path string) http.HandlerFunc {
 // fraction of answers against a second holder.
 func (f *Fleet) proxy(w http.ResponseWriter, r *http.Request, path string) {
 	f.requests.Add(1)
-	if r.Method != http.MethodPost {
-		serve.WriteError(w, http.StatusMethodNotAllowed, serve.CodeMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Errorf("reading body: %v", err))
-		return
-	}
-	// The router reads only the routing head — publication id and client —
-	// whatever the encoding; the rest of the body is opaque and forwarded
-	// byte-for-byte to the chosen replica.
-	var head requestHead
-	binary := r.Header.Get("Content-Type") == wire.ContentType
-	if binary {
-		h, err := wire.PeekHead(body)
-		if err != nil {
-			serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Errorf("bad binary frame: %w", err))
-			return
-		}
-		head = requestHead{ID: string(h.ID), Client: string(h.Client)}
-	} else if err := json.Unmarshal(body, &head); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Errorf("bad request body: %v", err))
-		return
-	}
-	p := f.lookup(head.ID)
-	if p == nil {
-		serve.WriteError(w, http.StatusNotFound, serve.CodeNotFound, fmt.Errorf("no publication %q", head.ID))
+	body, head, p, binary, ok := f.readRouted(w, r)
+	if !ok {
 		return
 	}
 
@@ -549,13 +547,8 @@ func emit(w http.ResponseWriter, resp *response) {
 
 func (f *Fleet) handlePublish(w http.ResponseWriter, r *http.Request) {
 	f.requests.Add(1)
-	if r.Method != http.MethodPost {
-		serve.WriteError(w, http.StatusMethodNotAllowed, serve.CodeMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
 	var req serve.PublishRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Errorf("bad request body: %v", err))
+	if !serve.ReadJSON(w, r, &req) {
 		return
 	}
 	id, err := f.Publish(req)
@@ -568,13 +561,8 @@ func (f *Fleet) handlePublish(w http.ResponseWriter, r *http.Request) {
 
 func (f *Fleet) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	f.requests.Add(1)
-	if r.Method != http.MethodPost {
-		serve.WriteError(w, http.StatusMethodNotAllowed, serve.CodeMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
 	var req requestHead
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Errorf("bad request body: %v", err))
+	if !serve.ReadJSON(w, r, &req) {
 		return
 	}
 	if f.lookup(req.ID) == nil {
@@ -599,31 +587,8 @@ func (f *Fleet) handleRefresh(w http.ResponseWriter, r *http.Request) {
 // response is relayed as-is.
 func (f *Fleet) handleInsert(w http.ResponseWriter, r *http.Request) {
 	f.requests.Add(1)
-	if r.Method != http.MethodPost {
-		serve.WriteError(w, http.StatusMethodNotAllowed, serve.CodeMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Errorf("reading body: %v", err))
-		return
-	}
-	var head requestHead
-	binary := r.Header.Get("Content-Type") == wire.ContentType
-	if binary {
-		h, err := wire.PeekHead(body)
-		if err != nil {
-			serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Errorf("bad binary frame: %w", err))
-			return
-		}
-		head = requestHead{ID: string(h.ID), Client: string(h.Client)}
-	} else if err := json.Unmarshal(body, &head); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Errorf("bad request body: %v", err))
-		return
-	}
-	p := f.lookup(head.ID)
-	if p == nil {
-		serve.WriteError(w, http.StatusNotFound, serve.CodeNotFound, fmt.Errorf("no publication %q", head.ID))
+	body, head, p, binary, ok := f.readRouted(w, r)
+	if !ok {
 		return
 	}
 

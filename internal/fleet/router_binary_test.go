@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"github.com/reconpriv/reconpriv/internal/serve"
@@ -199,4 +201,37 @@ func TestRoutedBinaryErrors(t *testing.T) {
 	if resp.ClientQueries != 3 {
 		t.Fatalf("replayed exposure %d, want 3 (no double charge)", resp.ClientQueries)
 	}
+}
+
+// TestRoutedBodyTooLarge is the router twin of serve's TestJSONBodyTooLarge:
+// a body over the limit is a typed 413 too_large on the routed and fan-out
+// endpoints, in either encoding, before any replica is touched.
+func TestRoutedBodyTooLarge(t *testing.T) {
+	f := New(Config{Replicas: 2, ReplicationFactor: 1})
+	h := f.Handler()
+	for _, tc := range []struct{ path, ctype, prefix string }{
+		{"/query", "application/json", `{"id":"p","client":"`},
+		{"/query", wire.ContentType, "RP"},
+		{"/insert", "application/json", `{"id":"p","client":"`},
+		{"/publish", "application/json", `{"dataset":"`},
+	} {
+		body := io.MultiReader(strings.NewReader(tc.prefix), io.LimitReader(repeatReader('x'), serve.MaxBodyBytes))
+		req := httptest.NewRequest(http.MethodPost, tc.path, body)
+		req.Header.Set("Content-Type", tc.ctype)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if code := serve.DecodeErrorCode(w.Code, w.Body.Bytes()); w.Code != http.StatusRequestEntityTooLarge || code != serve.CodeTooLarge {
+			t.Errorf("%s (%s): got %d %q, want 413 %q: %s", tc.path, tc.ctype, w.Code, code, serve.CodeTooLarge, w.Body.Bytes())
+		}
+	}
+}
+
+// repeatReader yields one byte forever.
+type repeatReader byte
+
+func (r repeatReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(r)
+	}
+	return len(p), nil
 }

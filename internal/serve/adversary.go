@@ -10,7 +10,6 @@ import (
 	"github.com/reconpriv/reconpriv/internal/core"
 	"github.com/reconpriv/reconpriv/internal/dataset"
 	"github.com/reconpriv/reconpriv/internal/par"
-	"github.com/reconpriv/reconpriv/internal/query"
 	"github.com/reconpriv/reconpriv/internal/reconstruct"
 )
 
@@ -72,80 +71,67 @@ type ReconstructResponse struct {
 	ServeMicros     int64 `json:"serve_us"`
 }
 
+// handleReconstruct answers one /reconstruct batch with the stage
+// sequence of handleQuery: admit, charge, resolve (striped), reconstruct,
+// count errors, observe, encode.
 func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
-	if isBinary(r) {
-		s.handleReconstructBinary(w, r)
-		return
-	}
 	start := time.Now()
 	st := binPool.Get().(*binScratch)
 	defer binPool.Put(st)
-	var req reconstructRequest
-	if !s.readJSON(w, r, st, &req, func() bool { return st.decodeReconstructJSON(&req) }) {
+	bin := isBinary(r)
+	var ok bool
+	if st.body, ok = ReadBody(w, r, st.body); !ok {
 		return
 	}
-	if len(req.Subsets) == 0 {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("empty subset batch"))
+	h, err := st.decodeReconstruct(bin)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
-	if len(req.Subsets) > s.cfg.MaxBatch {
-		WriteError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
-			fmt.Errorf("batch of %d exceeds the limit %d", len(req.Subsets), s.cfg.MaxBatch))
+	if !checkBatch(w, h.n, s.cfg.MaxBatch, "empty subset batch", "batch") {
 		return
 	}
-	pub, ok := s.resolvePublication(w, req.ID, req.Wait, true)
+	pub, ok := s.resolvePublication(w, h.id, h.wait, true)
 	if !ok {
 		return
 	}
 	// Charge before evaluating. Reconstruction is the first class shed as a
 	// client nears quota — the batch reveals subsets × m histogram cells.
-	client := clientID(r, req.Client)
-	charged := int64(len(req.Subsets)) * int64(pub.Marg.SADomain())
+	client := clientID(r, h.client)
+	charged := int64(h.n) * int64(pub.Marg.SADomain())
 	bres, ok := s.chargeExposure(w, client, pub.ID, charged, budget.ClassReconstruct)
 	if !ok {
 		return
 	}
 
-	// Label resolution is striped across the evaluation width, mirroring
-	// the /query path: on large batches it costs as much as the engine
-	// lookups.
-	sets := make([][]query.Cond, len(req.Subsets))
-	resolveErr := make([]error, len(req.Subsets))
-	par.Striped(len(req.Subsets), s.cfg.QueryWorkers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sets[i], resolveErr[i] = pub.ResolveConds(req.Subsets[i])
-		}
-	})
-	recs := pub.Eng.ReconstructBatch(sets, reconstruct.BatchOptions{
+	// Resolution is striped across the evaluation width, as on /query.
+	st.sets = resize(st.sets, h.n)
+	st.errs = resize(st.errs, h.n)
+	par.Striped(h.n, s.cfg.QueryWorkers, func(_, lo, hi int) { st.resolveSubsets(pub, bin, lo, hi) })
+	recs := pub.Eng.ReconstructBatch(st.sets, reconstruct.BatchOptions{
 		Workers: s.cfg.QueryWorkers,
-		Clamp:   req.Clamp,
+		Clamp:   h.clamp,
 	})
 
-	// A resolution failure replaces its set's engine result, and the
-	// encoder renders recs as they stand: frequencies stay dense by
-	// sensitive code and go out under their labels in the publication's
-	// precomputed key order.
+	// A resolution failure replaces its set's engine result; frequencies
+	// stay dense by sensitive code for both encoders.
 	var errs uint64
 	for i := range recs {
-		if resolveErr[i] != nil {
-			recs[i] = reconstruct.Reconstruction{Err: resolveErr[i]}
+		if st.errs[i] != nil {
+			recs[i] = reconstruct.Reconstruction{Err: st.errs[i]}
 		}
 		if recs[i].Err != nil {
 			errs++
 		}
 	}
-	l := ledgerFields{client: client, charged: charged}
-	l.clientQueries, l.remaining, l.exact, l.warn = s.ledgerValues(bres)
-
+	l := s.ledgerOf(client, charged, bres)
 	s.reconstructBatches.Add(1)
-	s.reconstructions.Add(uint64(len(req.Subsets)))
+	s.reconstructions.Add(uint64(h.n))
 	s.queryErrors.Add(errs)
 	elapsed := time.Since(start)
 	s.lat.Observe(elapsed)
 	l.serveMicros = elapsed.Microseconds()
-	var err error
-	st.out, err = appendReconstructResponse(st.out[:0], pub.ID, recs, pub.freqKeys, l)
-	writeEncoded(w, http.StatusOK, st.out, err)
+	st.encodeReconstruct(w, bin, pub, recs, l)
 }
 
 // Audit endpoint defaults and caps.
@@ -236,25 +222,25 @@ func auditCacheKey(pub *Publication, trials, maxGroups int, seed int64) string {
 
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	var req auditRequest
-	if !s.decode(w, r, &req) {
+	if !ReadJSON(w, r, &req) {
 		return
 	}
 	if req.Trials == 0 {
 		req.Trials = defaultAuditTrials
 	}
 	if req.Trials < 1 || req.Trials > maxAuditTrials {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("trials must be in [1,%d], got %d", maxAuditTrials, req.Trials))
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("trials must be in [1,%d], got %d", maxAuditTrials, req.Trials))
 		return
 	}
 	if req.MaxGroups < 0 || req.MaxGroups > maxAuditGroups {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("max_groups must be in [0,%d], got %d", maxAuditGroups, req.MaxGroups))
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("max_groups must be in [0,%d], got %d", maxAuditGroups, req.MaxGroups))
 		return
 	}
 	if req.Top == 0 {
 		req.Top = defaultAuditTop
 	}
 	if req.Top < 0 || req.Top > maxAuditTop {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("top must be in [0,%d], got %d", maxAuditTop, req.Top))
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("top must be in [0,%d], got %d", maxAuditTop, req.Top))
 		return
 	}
 	if req.Seed == 0 {
@@ -298,7 +284,7 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		return &auditRun{res: res}, nil
 	})
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, CodeInternal, err)
 		return
 	}
 	run := v.(*auditRun)

@@ -1,60 +1,77 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sync"
-	"time"
 
-	"github.com/reconpriv/reconpriv/internal/budget"
-	"github.com/reconpriv/reconpriv/internal/par"
+	"github.com/reconpriv/reconpriv/internal/dataset"
 	"github.com/reconpriv/reconpriv/internal/query"
 	"github.com/reconpriv/reconpriv/internal/reconstruct"
 	"github.com/reconpriv/reconpriv/internal/wire"
 )
 
-// This file is the binary hot path: POST /query and POST /reconstruct
-// bodies sent with Content-Type: application/x-rp-binary are decoded as
-// internal/wire frames and answered in kind. (The JSON handlers read their
-// bodies through the same pooled scratch; see jsoncodec.go.) The semantics are identical
-// to the JSON path — same validation order, same limits, same exposure
-// accounting, same typed failures (errors are always the JSON ErrorBody
-// envelope, whatever the request encoding, so the fleet's error taxonomy
-// is shared) — but the steady state allocates almost nothing: request
-// body, decoded frame, resolved queries, answers, and the response frame
-// all live in pooled scratch.
+// This file holds what the batch endpoints — POST /query, /reconstruct and
+// /insert — share whatever the request encoding: the pooled scratch a
+// request is served out of, the body reader, and the codec edges of each
+// pipeline. A handler runs its stages once; only three edges branch on
+// the encoding:
+//
+//   - decode: the internal/wire frame (Content-Type
+//     application/x-rp-binary), or the JSON body through the scanner of
+//     jsoncodec.go with its encoding/json fallback;
+//   - resolve: binary codes mapped in place (Publication.MapConds/MapSA),
+//     or JSON labels resolved (Publication.Resolve/ResolveConds, with the
+//     generalized-label fallback);
+//   - encode: a wire frame, or JSON byte-identical to json.Marshal.
+//
+// Failures are always the JSON ErrorBody envelope, whatever the request
+// encoding, so the fleet's error taxonomy is shared. The binary steady
+// state allocates almost nothing: body, decoded frame, resolved queries,
+// answers and the response frame all live in pooled scratch.
 
 // binScratch is one request's pooled working set.
 type binScratch struct {
-	body []byte // raw request frame; decoded views alias it
-	out  []byte // encoded response frame
+	body []byte // raw request body; decoded views alias it
+	out  []byte // encoded response
 	cbuf []byte // resolved client id bytes
 
 	req     wire.QueryReq
 	rreq    wire.ReconstructReq
 	ireq    wire.InsertReq
 	qs      []query.Query
+	sets    [][]query.Cond
 	errs    []error
 	answers []query.Answer
 	wans    []wire.Answer
 	results []wire.RecResult
 
-	// Insert-path scratch: key views over one arena plus the aligned
+	// Insert-path scratch: JSON records resolved to rows of codes over one
+	// arena, then the admitted key views over another plus the aligned
 	// sensitive codes, refilled per request.
+	irows   [][]uint16
+	icodes  []uint16
 	ikeys   [][]uint16
 	ikarena []uint16
 	isas    []uint16
 
-	// JSON-path scratch (jsoncodec.go): the scanner with its unescaping
-	// buffer, decoded queries and condition sets over one condition arena,
-	// and the label intern table.
+	// JSON-path scratch (jsoncodec.go): the decoded requests, the scanner
+	// with its unescaping buffer, decoded queries and condition sets over
+	// one condition arena, the answers handed to the encoder, and the label
+	// intern table.
+	jq       queryRequest
+	jr       reconstructRequest
+	ji       insertRequest
 	scan     jsonScanner
 	jqueries []QueryJSON
 	jconds   []CondJSON
 	jspans   []condSpan
 	jsubsets [][]CondJSON
+	janswers []QueryAnswer
 	labels   labelTable
 }
 
@@ -65,277 +82,239 @@ func isBinary(r *http.Request) bool {
 	return r.Header.Get("Content-Type") == wire.ContentType
 }
 
-// readFrame reads the whole request body into the scratch buffer. A false
-// return means the rejection is already written.
-func (s *Server) readFrame(w http.ResponseWriter, r *http.Request, st *binScratch) bool {
+// MaxBodyBytes bounds request bodies on every endpoint, the fleet
+// router's included (a 100K-record insert of wide labels fits
+// comfortably).
+const MaxBodyBytes = 64 << 20
+
+// ReadBody reads the body of a POST into buf, reusing its capacity, and
+// returns it. A false return means the typed rejection is already
+// written: 405 for another method, 413 too_large for a body over
+// MaxBodyBytes, 400 for any other read failure.
+func ReadBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, bool) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return false
+		WriteError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, fmt.Errorf("use POST"))
+		return buf, false
 	}
-	st.body = st.body[:0]
-	lr := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	buf = buf[:0]
+	lr := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	for {
-		if len(st.body) == cap(st.body) {
-			st.body = append(st.body, 0)[:len(st.body)]
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
 		}
-		n, err := lr.Read(st.body[len(st.body):cap(st.body)])
-		st.body = st.body[:len(st.body)+n]
+		n, err := lr.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
 		if err == io.EOF {
-			return true
+			return buf, true
 		}
 		if err != nil {
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
 				WriteError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
-					fmt.Errorf("request body exceeds %d bytes", maxBodyBytes))
-				return false
+					fmt.Errorf("request body exceeds %d bytes", MaxBodyBytes))
+				return buf, false
 			}
 			WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("reading body: %v", err))
-			return false
+			return buf, false
 		}
 	}
 }
 
-// writeFrame emits an encoded success frame.
-func writeFrame(w http.ResponseWriter, frame []byte) {
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.WriteHeader(http.StatusOK)
-	w.Write(frame)
+// ReadJSON reads a POST body with ReadBody and decodes it into dst with
+// encoding/json. A false return means the typed rejection is already
+// written.
+func ReadJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
+	body, ok := ReadBody(w, r, nil)
+	if !ok {
+		return false
+	}
+	if err := unmarshalBody(body, dst); err != nil {
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, err)
+		return false
+	}
+	return true
 }
 
-// handleQueryBinary answers one binary /query batch. The flow mirrors
-// handleQuery exactly; divergence would show up in the JSON-vs-binary
-// equivalence property test.
-func (s *Server) handleQueryBinary(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	st := binPool.Get().(*binScratch)
-	defer binPool.Put(st)
-	if !s.readFrame(w, r, st) {
-		return
+// unmarshalBody decodes a JSON body with encoding/json's Decoder, which
+// tolerates trailing data after the first value.
+func unmarshalBody(body []byte, dst any) error {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(dst); err != nil {
+		return fmt.Errorf("bad request body: %v", err)
 	}
-	if err := st.req.Decode(st.body); err != nil {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad binary frame: %w", err))
-		return
+	return nil
+}
+
+// batchHead is the encoding-neutral head of a decoded /query,
+// /reconstruct or /insert request — what the shared stages read of it,
+// whichever decoder ran. n counts the batch's queries, subsets or records.
+type batchHead struct {
+	id, client  string
+	wait, clamp bool
+	n           int
+}
+
+// badFrame is the 400 message of a wire frame that does not decode.
+func badFrame(err error) error { return fmt.Errorf("bad binary frame: %w", err) }
+
+// decodeQuery is the decode edge of POST /query.
+func (st *binScratch) decodeQuery(bin bool) (batchHead, error) {
+	if bin {
+		if err := st.req.Decode(st.body); err != nil {
+			return batchHead{}, badFrame(err)
+		}
+		m := &st.req
+		return batchHead{id: string(m.ID), client: string(m.Client), wait: m.Wait, n: len(m.Queries)}, nil
 	}
-	n := len(st.req.Queries)
+	q := &st.jq
+	*q = queryRequest{}
+	if !st.decodeQueryJSON(q) {
+		if err := unmarshalBody(st.body, q); err != nil {
+			return batchHead{}, err
+		}
+	}
+	return batchHead{id: q.ID, client: q.Client, wait: q.Wait, n: len(q.Queries)}, nil
+}
+
+// decodeReconstruct is the decode edge of POST /reconstruct.
+func (st *binScratch) decodeReconstruct(bin bool) (batchHead, error) {
+	if bin {
+		if err := st.rreq.Decode(st.body); err != nil {
+			return batchHead{}, badFrame(err)
+		}
+		m := &st.rreq
+		return batchHead{id: string(m.ID), client: string(m.Client), wait: m.Wait, clamp: m.Clamp, n: len(m.Subsets)}, nil
+	}
+	q := &st.jr
+	*q = reconstructRequest{}
+	if !st.decodeReconstructJSON(q) {
+		if err := unmarshalBody(st.body, q); err != nil {
+			return batchHead{}, err
+		}
+	}
+	return batchHead{id: q.ID, client: q.Client, wait: q.Wait, clamp: q.Clamp, n: len(q.Subsets)}, nil
+}
+
+// decodeInsert is the decode edge of POST /insert. JSON records are
+// label maps, which the scanner does not take: encoding/json decodes them.
+func (st *binScratch) decodeInsert(bin bool) (batchHead, error) {
+	if bin {
+		if err := st.ireq.Decode(st.body); err != nil {
+			return batchHead{}, badFrame(err)
+		}
+		m := &st.ireq
+		return batchHead{id: string(m.ID), client: string(m.Client), wait: m.Wait, n: len(m.Records)}, nil
+	}
+	q := &st.ji
+	*q = insertRequest{}
+	if err := unmarshalBody(st.body, q); err != nil {
+		return batchHead{}, err
+	}
+	return batchHead{id: q.ID, wait: q.Wait, n: len(q.Records)}, nil
+}
+
+// checkBatch is the admission every batch endpoint starts with: at least
+// one item and at most limit. A false return means the rejection is
+// already written.
+func checkBatch(w http.ResponseWriter, n, limit int, empty, what string) bool {
 	if n == 0 {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("empty query batch"))
-		return
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, errors.New(empty))
+		return false
 	}
-	if n > s.cfg.MaxBatch {
+	if n > limit {
 		WriteError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
-			fmt.Errorf("batch of %d exceeds the limit %d", n, s.cfg.MaxBatch))
-		return
+			fmt.Errorf("%s of %d exceeds the limit %d", what, n, limit))
+		return false
 	}
-	pub, ok := s.resolvePublication(w, string(st.req.ID), st.req.Wait, true)
-	if !ok {
-		return
-	}
-	// Charge before evaluating, exactly like the JSON path: a budget
-	// rejection (typed JSON ErrorBody even on the binary path) does no work
-	// and is never charged.
-	client := clientID(r, string(st.req.Client))
-	bres, ok := s.chargeExposure(w, client, pub.ID, int64(n), budget.ClassQuery)
-	if !ok {
-		return
-	}
+	return true
+}
 
-	// Code mapping is striped like the JSON path's label resolution: the
-	// per-query work is tiny, but a 100K batch should not map on one core
-	// in front of the evaluation pool.
-	st.qs = resizeQueries(st.qs, n)
-	st.errs = resizeErrs(st.errs, n)
-	par.Striped(n, s.cfg.QueryWorkers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			q := &st.req.Queries[i]
-			err := pub.MapConds(q.Conds)
-			if err == nil {
-				err = pub.MapSA(q.SA)
-			}
-			st.errs[i] = err
-			if err != nil {
-				st.qs[i] = query.Query{}
-				continue
-			}
-			st.qs[i] = query.Query{Conds: q.Conds, SA: q.SA}
+// resolveQueries is the resolve edge of POST /query for the stripe
+// [lo, hi) of st.qs: binary codes mapped in place, or JSON labels
+// resolved. A query that fails is left zero with its error in st.errs.
+func (st *binScratch) resolveQueries(pub *Publication, bin bool, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if !bin {
+			st.qs[i], st.errs[i] = pub.Resolve(st.jq.Queries[i])
+			continue
 		}
-	})
-	st.answers = pub.Marg.AnswerBatchInto(st.answers, st.qs, pub.Req.P, s.cfg.QueryWorkers)
+		q := &st.req.Queries[i]
+		err := pub.MapConds(q.Conds)
+		if err == nil {
+			err = pub.MapSA(q.SA)
+		}
+		st.qs[i], st.errs[i] = query.Query{Conds: q.Conds, SA: q.SA}, err
+		if err != nil {
+			st.qs[i] = query.Query{}
+		}
+	}
+}
 
-	st.cbuf = append(st.cbuf[:0], client...)
-	resp := wire.QueryResp{ID: st.req.ID, Client: st.cbuf}
-	st.wans = st.wans[:0]
-	var errs uint64
-	for i := range st.answers {
-		a := &st.answers[i]
-		wa := wire.Answer{Count: int64(a.Count), Estimate: a.Estimate}
+// resolveSubsets is the resolve edge of POST /reconstruct for the stripe
+// [lo, hi) of st.sets. A subset that fails reaches the engine as nil
+// (answered as empty, then replaced by the resolution error).
+func (st *binScratch) resolveSubsets(pub *Publication, bin bool, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if !bin {
+			st.sets[i], st.errs[i] = pub.ResolveConds(st.jr.Subsets[i])
+			continue
+		}
+		st.sets[i], st.errs[i] = st.rreq.Subsets[i], pub.MapConds(st.rreq.Subsets[i])
 		if st.errs[i] != nil {
-			wa = wire.Answer{Err: []byte(st.errs[i].Error())}
-		} else if a.Err != nil {
-			wa = wire.Answer{Err: []byte(a.Err.Error())}
+			st.sets[i] = nil
 		}
-		if wa.Err != nil {
-			errs++
-		}
-		st.wans = append(st.wans, wa)
 	}
-	resp.Answers = st.wans
-	resp.Charged = uint64(n)
-	resp.ClientQueries, resp.BudgetRemaining, resp.BudgetExact, resp.ExposureWarning = s.wireLedgerValues(bres)
-
-	s.queryBatches.Add(1)
-	s.queriesAnswered.Add(uint64(n))
-	s.queryErrors.Add(errs)
-	elapsed := time.Since(start)
-	s.lat.Observe(elapsed)
-	resp.ServeMicros = uint64(elapsed.Microseconds())
-	st.out = resp.Append(st.out[:0])
-	writeFrame(w, st.out)
 }
 
-// handleReconstructBinary answers one binary /reconstruct batch,
-// mirroring handleReconstruct. Frequencies are returned dense by original
-// sensitive-value code; labels are recoverable from /publications?domains=1.
-func (s *Server) handleReconstructBinary(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	st := binPool.Get().(*binScratch)
-	defer binPool.Put(st)
-	if !s.readFrame(w, r, st) {
-		return
-	}
-	if err := st.rreq.Decode(st.body); err != nil {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad binary frame: %w", err))
-		return
-	}
-	n := len(st.rreq.Subsets)
-	if n == 0 {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("empty subset batch"))
-		return
-	}
-	if n > s.cfg.MaxBatch {
-		WriteError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
-			fmt.Errorf("batch of %d exceeds the limit %d", n, s.cfg.MaxBatch))
-		return
-	}
-	pub, ok := s.resolvePublication(w, string(st.rreq.ID), st.rreq.Wait, true)
-	if !ok {
-		return
-	}
-	// Reconstruction charges subsets × sensitive-domain size, and is the
-	// first class shed when the client nears quota (graceful degradation).
-	client := clientID(r, string(st.rreq.Client))
-	charged := int64(n) * int64(pub.Marg.SADomain())
-	bres, ok := s.chargeExposure(w, client, pub.ID, charged, budget.ClassReconstruct)
-	if !ok {
-		return
-	}
-
-	st.errs = resizeErrs(st.errs, n)
-	par.Striped(n, s.cfg.QueryWorkers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if st.errs[i] = pub.MapConds(st.rreq.Subsets[i]); st.errs[i] != nil {
-				// Mirror the JSON path: a failed subset reaches the engine
-				// as nil (answered as empty, overridden with the map error
-				// below). The decoder refills Subsets next request.
-				st.rreq.Subsets[i] = nil
-			}
+// insertRows is the resolve edge of POST /insert: the records as rows of
+// original codes in schema order — the frame's own rows, or the JSON
+// labels resolved against the schema, non-sensitive attributes first.
+func (st *binScratch) insertRows(schema *dataset.Schema, bin bool) ([][]uint16, error) {
+	width := schema.NumAttrs()
+	if bin {
+		if st.ireq.NAttrs != width {
+			return nil, fmt.Errorf("records carry %d attributes, schema has %d", st.ireq.NAttrs, width)
 		}
-	})
-	sets := st.rreq.Subsets
-	recs := pub.Eng.ReconstructBatch(sets, reconstruct.BatchOptions{
-		Workers: s.cfg.QueryWorkers,
-		Clamp:   st.rreq.Clamp,
-	})
-
-	st.cbuf = append(st.cbuf[:0], client...)
-	resp := wire.ReconstructResp{ID: st.rreq.ID, Client: st.cbuf}
-	st.results = st.results[:0]
-	var errs uint64
-	for i := range recs {
-		rec := &recs[i]
-		res := wire.RecResult{Size: int64(rec.Size), Freqs: rec.Freqs}
-		switch {
-		case st.errs[i] != nil:
-			res = wire.RecResult{Err: []byte(st.errs[i].Error())}
-		case rec.Err != nil:
-			res = wire.RecResult{Err: []byte(rec.Err.Error())}
-		}
-		if res.Err != nil {
-			errs++
-		}
-		st.results = append(st.results, res)
-	}
-	resp.Results = st.results
-	resp.Charged = uint64(charged)
-	resp.ClientQueries, resp.BudgetRemaining, resp.BudgetExact, resp.ExposureWarning = s.wireLedgerValues(bres)
-
-	s.reconstructBatches.Add(1)
-	s.reconstructions.Add(uint64(n))
-	s.queryErrors.Add(errs)
-	elapsed := time.Since(start)
-	s.lat.Observe(elapsed)
-	resp.ServeMicros = uint64(elapsed.Microseconds())
-	st.out = resp.Append(st.out[:0])
-	writeFrame(w, st.out)
-}
-
-// handleInsertBinary ingests one binary /insert batch, mirroring
-// handleInsert. Records carry raw codes over the publication's original
-// schema in schema order (incremental publications never generalize, so
-// original and served schemas coincide); the handler validates every code
-// against its attribute domain before touching the publisher, the same
-// all-or-nothing admission the JSON path gets from label resolution.
-// Inserts charge no exposure, so the response carries no ledger block.
-func (s *Server) handleInsertBinary(w http.ResponseWriter, r *http.Request) {
-	st := binPool.Get().(*binScratch)
-	defer binPool.Put(st)
-	if !s.readFrame(w, r, st) {
-		return
-	}
-	if err := st.ireq.Decode(st.body); err != nil {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad binary frame: %w", err))
-		return
-	}
-	n := len(st.ireq.Records)
-	if n == 0 {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("no records"))
-		return
-	}
-	if n > s.cfg.MaxInsert {
-		WriteError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
-			fmt.Errorf("insert of %d exceeds the limit %d", n, s.cfg.MaxInsert))
-		return
-	}
-	pub, ok := s.resolvePublication(w, string(st.ireq.ID), st.ireq.Wait, false)
-	if !ok {
-		return
-	}
-	e := s.reg.get(string(st.ireq.ID))
-	if e.inc == nil {
-		WriteError(w, http.StatusConflict, CodeNotIncremental,
-			fmt.Errorf("publication %q was published with method %q; only incremental publications accept inserts", st.ireq.ID, pub.Req.Method))
-		return
-	}
-	schema := pub.Orig
-	if st.ireq.NAttrs != schema.NumAttrs() {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Errorf("records carry %d attributes, schema has %d", st.ireq.NAttrs, schema.NumAttrs()))
-		return
+		return st.ireq.Records, nil
 	}
 	naIdx := schema.NAIndices()
-	if cap(st.ikarena) < n*len(naIdx) {
-		st.ikarena = make([]uint16, n*len(naIdx))
+	st.icodes = resize(st.icodes, len(st.ji.Records)*width)
+	st.irows = st.irows[:0]
+	for ri, rec := range st.ji.Records {
+		row := st.icodes[ri*width : (ri+1)*width : (ri+1)*width]
+		for k := 0; k <= len(naIdx); k++ {
+			ai, what := schema.SA, "sensitive attribute"
+			if k < len(naIdx) {
+				ai, what = naIdx[k], "attribute"
+			}
+			label, ok := rec[schema.Attrs[ai].Name]
+			if !ok {
+				return nil, fmt.Errorf("record %d: missing %s %q", ri, what, schema.Attrs[ai].Name)
+			}
+			code, err := schema.Attrs[ai].Code(label)
+			if err != nil {
+				return nil, fmt.Errorf("record %d: %v", ri, err)
+			}
+			row[ai] = code
+		}
+		st.irows = append(st.irows, row)
 	}
-	st.ikarena = st.ikarena[:0]
+	return st.irows, nil
+}
+
+// admitRecords is the code-domain admission of POST /insert: every code
+// of every row is checked against its attribute's domain before the
+// publisher sees a single record (all or nothing), and the rows are split
+// into non-sensitive keys (st.ikeys) and sensitive codes (st.isas).
+func (st *binScratch) admitRecords(schema *dataset.Schema, rows [][]uint16) error {
+	naIdx := schema.NAIndices()
+	st.ikarena = resize(st.ikarena, len(rows)*len(naIdx))[:0]
 	st.ikeys = st.ikeys[:0]
 	st.isas = st.isas[:0]
-	for ri, rec := range st.ireq.Records {
+	for ri, rec := range rows {
 		for _, ai := range naIdx {
 			code := rec[ai]
 			if int(code) >= schema.Attrs[ai].Domain() {
-				WriteError(w, http.StatusBadRequest, CodeBadRequest,
-					fmt.Errorf("record %d: attribute %q code %d out of domain [0,%d)", ri, schema.Attrs[ai].Name, code, schema.Attrs[ai].Domain()))
-				return
+				return fmt.Errorf("record %d: attribute %q code %d out of domain [0,%d)", ri, schema.Attrs[ai].Name, code, schema.Attrs[ai].Domain())
 			}
 			st.ikarena = append(st.ikarena, code)
 		}
@@ -343,22 +322,82 @@ func (s *Server) handleInsertBinary(w http.ResponseWriter, r *http.Request) {
 		st.ikeys = append(st.ikeys, st.ikarena[off:len(st.ikarena):len(st.ikarena)])
 		sa := rec[schema.SA]
 		if int(sa) >= schema.SADomain() {
-			WriteError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Errorf("record %d: sensitive code %d out of domain [0,%d)", ri, sa, schema.SADomain()))
-			return
+			return fmt.Errorf("record %d: sensitive code %d out of domain [0,%d)", ri, sa, schema.SADomain())
 		}
 		st.isas = append(st.isas, sa)
 	}
+	return nil
+}
 
-	resp, err := s.applyInsert(e, st.ikeys, st.isas)
-	if err != nil {
-		WriteError(w, http.StatusInternalServerError, CodeInternal, err)
+// wireAnswer and jsonAnswer render one answer for the /query encoders.
+func wireAnswer(a *query.Answer) wire.Answer {
+	if a.Err != nil {
+		return wire.Answer{Err: []byte(a.Err.Error())}
+	}
+	return wire.Answer{Count: int64(a.Count), Estimate: a.Estimate}
+}
+
+func jsonAnswer(a *query.Answer) QueryAnswer {
+	if a.Err != nil {
+		return QueryAnswer{Error: a.Err.Error()}
+	}
+	return QueryAnswer{Count: a.Count, Estimate: a.Estimate}
+}
+
+// encodeQuery is the encode edge of POST /query: the rendered answers as
+// a wire frame, or as the bytes json.Marshal renders for a QueryResponse.
+func (st *binScratch) encodeQuery(w http.ResponseWriter, bin bool, id string, l ledgerFields) {
+	if bin {
+		st.cbuf = append(st.cbuf[:0], l.client...)
+		resp := wire.QueryResp{ID: st.req.ID, Client: st.cbuf, Ledger: l.wireLedger(),
+			ServeMicros: uint64(l.serveMicros), Answers: st.wans}
+		st.out = resp.Append(st.out[:0])
+		writeFrame(w, st.out)
 		return
 	}
-	s.inserts.Add(uint64(resp.Inserted))
-	s.absorbed.Add(uint64(resp.Absorbed))
+	out := QueryResponse{ID: id, Answers: st.janswers, Client: l.client, Charged: l.charged,
+		ClientQueries: l.clientQueries, BudgetRemaining: l.remaining, BudgetExact: l.exact,
+		ExposureWarning: l.warn, ServeMicros: l.serveMicros}
+	var err error
+	st.out, err = appendQueryResponse(st.out[:0], &out)
+	writeEncoded(w, http.StatusOK, st.out, err)
+}
 
-	st.cbuf = append(st.cbuf[:0], clientID(r, string(st.ireq.Client))...)
+// encodeReconstruct is the encode edge of POST /reconstruct: recs as a
+// wire frame, with frequencies dense by original sensitive code (labels
+// are recoverable from /publications?domains=1), or as JSON keyed by label.
+func (st *binScratch) encodeReconstruct(w http.ResponseWriter, bin bool, pub *Publication, recs []reconstruct.Reconstruction, l ledgerFields) {
+	if bin {
+		st.results = st.results[:0]
+		for i := range recs {
+			rec := &recs[i]
+			if rec.Err != nil {
+				st.results = append(st.results, wire.RecResult{Err: []byte(rec.Err.Error())})
+				continue
+			}
+			st.results = append(st.results, wire.RecResult{Size: int64(rec.Size), Freqs: rec.Freqs})
+		}
+		st.cbuf = append(st.cbuf[:0], l.client...)
+		resp := wire.ReconstructResp{ID: st.rreq.ID, Client: st.cbuf, Ledger: l.wireLedger(),
+			ServeMicros: uint64(l.serveMicros), Results: st.results}
+		st.out = resp.Append(st.out[:0])
+		writeFrame(w, st.out)
+		return
+	}
+	var err error
+	st.out, err = appendReconstructResponse(st.out[:0], pub.ID, recs, pub.freqKeys, l)
+	writeEncoded(w, http.StatusOK, st.out, err)
+}
+
+// encodeInsert is the encode edge of POST /insert. Inserts charge no
+// exposure, so neither encoding carries a ledger; the frame echoes the
+// resolved client, the JSON body does not.
+func (st *binScratch) encodeInsert(w http.ResponseWriter, bin bool, client string, resp insertResponse) {
+	if !bin {
+		WriteJSON(w, http.StatusOK, resp)
+		return
+	}
+	st.cbuf = append(st.cbuf[:0], client...)
 	wresp := wire.InsertResp{
 		ID:           st.ireq.ID,
 		Client:       st.cbuf,
@@ -371,27 +410,29 @@ func (s *Server) handleInsertBinary(w http.ResponseWriter, r *http.Request) {
 	writeFrame(w, st.out)
 }
 
-// wireLedgerValues is ledgerValues for the binary framing: unsigned fields,
-// with the all-ones sentinel standing in for disabled enforcement.
-func (s *Server) wireLedgerValues(res budget.Result) (total, remaining uint64, exact, warn bool) {
-	t, rem, exact, warn := s.ledgerValues(res)
-	remaining = uint64(rem)
-	if rem < 0 {
+// writeFrame emits an encoded success frame.
+func writeFrame(w http.ResponseWriter, frame []byte) {
+	w.Header().Set("Content-Type", wire.ContentType)
+	w.WriteHeader(http.StatusOK)
+	w.Write(frame)
+}
+
+// wireLedger is the ledger in the binary framing: unsigned fields, with
+// the all-ones sentinel standing in for disabled enforcement.
+func (l *ledgerFields) wireLedger() wire.Ledger {
+	remaining := uint64(l.remaining)
+	if l.remaining < 0 {
 		remaining = wire.UnlimitedBudget
 	}
-	return uint64(t), remaining, exact, warn
+	return wire.Ledger{Charged: uint64(l.charged), ClientQueries: uint64(l.clientQueries),
+		BudgetRemaining: remaining, ExposureWarning: l.warn, BudgetExact: l.exact}
 }
 
-func resizeQueries(dst []query.Query, n int) []query.Query {
+// resize returns dst with length n, reusing its backing array when it is
+// large enough.
+func resize[T any](dst []T, n int) []T {
 	if cap(dst) < n {
-		return make([]query.Query, n)
-	}
-	return dst[:n]
-}
-
-func resizeErrs(dst []error, n int) []error {
-	if cap(dst) < n {
-		return make([]error, n)
+		return make([]T, n)
 	}
 	return dst[:n]
 }

@@ -40,7 +40,8 @@
 // counters, query throughput, and p50/p99 request latency from a lock-free
 // histogram (latency.go).
 //
-// HTTP surface (all bodies JSON):
+// HTTP surface (JSON bodies; /query, /reconstruct and /insert also take
+// internal/wire frames, see binary.go):
 //
 //	POST /publish       build-or-get a publication (async; id returned at once)
 //	GET  /publications  list cached publications and their metadata

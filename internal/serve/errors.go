@@ -129,26 +129,3 @@ func DecodeErrorCode(status int, body []byte) ErrorCode {
 		return CodeBadRequest
 	}
 }
-
-// httpError is the legacy single-argument writer: status-derived code. New
-// call sites should pass an explicit code via WriteError.
-func httpError(w http.ResponseWriter, status int, err error) {
-	WriteError(w, status, statusCode(status), err)
-}
-
-// statusCode maps a bare HTTP status onto the taxonomy for call sites that
-// have no more specific classification.
-func statusCode(status int) ErrorCode {
-	switch {
-	case status == http.StatusNotFound:
-		return CodeNotFound
-	case status == http.StatusMethodNotAllowed:
-		return CodeMethodNotAllowed
-	case status == http.StatusRequestEntityTooLarge:
-		return CodeTooLarge
-	case status >= 500:
-		return CodeInternal
-	default:
-		return CodeBadRequest
-	}
-}

@@ -2,10 +2,8 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
-	"net/http"
 	"sort"
 	"strconv"
 	"unicode/utf8"
@@ -13,12 +11,12 @@ import (
 	"github.com/reconpriv/reconpriv/internal/reconstruct"
 )
 
-// This file is the JSON edge of the two hot served endpoints, POST /query
+// This file is the JSON codec of the two hot served endpoints, POST /query
 // and POST /reconstruct: a reflection-free decoder that fills the request
 // structs out of pooled scratch, and an append-style encoder whose output
-// is byte-identical to json.Marshal followed by a newline. Everything
-// between the two edges — validation, resolution, charging, evaluation,
-// the ledger — is the handlers' own and does not know which decoder ran.
+// is byte-identical to json.Marshal followed by a newline. The decode and
+// encode edges of binary.go call it; every stage between them runs the
+// same code whichever encoding the request used.
 //
 // The decoder takes only the canonical shape: exact lower-case keys, each
 // at most once; strings in valid UTF-8 without control characters, whose
@@ -370,24 +368,6 @@ func (st *binScratch) decodeReconstructJSON(req *reconstructRequest) bool {
 		if n := len(st.jsubsets); n > 0 {
 			req.Subsets = st.jsubsets[:n:n]
 		}
-	}
-	return true
-}
-
-// readJSON reads a /query or /reconstruct body into st and decodes it into
-// dst: through fast when the body has the canonical shape, through
-// encoding/json otherwise. fast must leave dst zero when it declines. A
-// false return means the rejection is already written.
-func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, st *binScratch, dst any, fast func() bool) bool {
-	if !s.readFrame(w, r, st) {
-		return false
-	}
-	if fast() {
-		return true
-	}
-	if err := json.NewDecoder(bytes.NewReader(st.body)).Decode(dst); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
-		return false
 	}
 	return true
 }

@@ -377,13 +377,13 @@ func TestJSONDecodeAllocs(t *testing.T) {
 }
 
 // TestJSONBodyTooLarge pins the 413 parity of JSON bodies with binary
-// frames: an over-limit /query or /reconstruct body is a typed too_large.
+// frames: an over-limit body is a typed too_large on every POST endpoint.
 func TestJSONBodyTooLarge(t *testing.T) {
 	s := New(Config{})
 	h := s.Handler()
-	for _, path := range []string{"/query", "/reconstruct"} {
+	for _, path := range []string{"/query", "/reconstruct", "/insert", "/publish", "/refresh", "/audit", "/restore"} {
 		body := io.MultiReader(strings.NewReader(`{"id":"p","client":"`),
-			io.LimitReader(repeatReader('x'), maxBodyBytes))
+			io.LimitReader(repeatReader('x'), MaxBodyBytes))
 		req := httptest.NewRequest(http.MethodPost, path, body)
 		req.Header.Set("Content-Type", "application/json")
 		rec := httptest.NewRecorder()

@@ -457,7 +457,7 @@ func entryJSON(e *Entry, withDomains bool) publicationJSON {
 
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	var req PublishRequest
-	if !s.decode(w, r, &req) {
+	if !ReadJSON(w, r, &req) {
 		return
 	}
 	e, started, err := s.Publish(req, req.Wait)
@@ -544,35 +544,36 @@ type QueryResponse struct {
 	ServeMicros     int64 `json:"serve_us"`
 }
 
+// handleQuery answers one /query batch: admit, charge, resolve (striped),
+// evaluate, count errors, observe, encode. Only the decode, resolve and
+// encode edges (binary.go) depend on the request's encoding; the encoder's
+// per-answer rendering rides in the error-counting pass, so a batch walks
+// its answers once.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if isBinary(r) {
-		s.handleQueryBinary(w, r)
-		return
-	}
 	start := time.Now()
 	st := binPool.Get().(*binScratch)
 	defer binPool.Put(st)
-	var req queryRequest
-	if !s.readJSON(w, r, st, &req, func() bool { return st.decodeQueryJSON(&req) }) {
+	bin := isBinary(r)
+	var ok bool
+	if st.body, ok = ReadBody(w, r, st.body); !ok {
 		return
 	}
-	if len(req.Queries) == 0 {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("empty query batch"))
+	h, err := st.decodeQuery(bin)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
-	if len(req.Queries) > s.cfg.MaxBatch {
-		WriteError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
-			fmt.Errorf("batch of %d exceeds the limit %d", len(req.Queries), s.cfg.MaxBatch))
+	if !checkBatch(w, h.n, s.cfg.MaxBatch, "empty query batch", "batch") {
 		return
 	}
-	pub, ok := s.resolvePublication(w, req.ID, req.Wait, true)
+	pub, ok := s.resolvePublication(w, h.id, h.wait, true)
 	if !ok {
 		return
 	}
 	// Charge before evaluating: a budget rejection must not pay for the
 	// work it refuses, and nothing after this point can fail the request.
-	client := clientID(r, req.Client)
-	bres, ok := s.chargeExposure(w, client, pub.ID, int64(len(req.Queries)), budget.ClassQuery)
+	client := clientID(r, h.client)
+	bres, ok := s.chargeExposure(w, client, pub.ID, int64(h.n), budget.ClassQuery)
 	if !ok {
 		return
 	}
@@ -580,43 +581,37 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Resolution is striped across the same worker width as evaluation: on
 	// large batches the label→code translation costs as much as the cube
 	// lookups, so it must not run single-threaded in front of the pool.
-	qs := make([]query.Query, len(req.Queries))
-	resolveErr := make([]error, len(req.Queries))
-	par.Striped(len(req.Queries), s.cfg.QueryWorkers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			qs[i], resolveErr[i] = pub.Resolve(req.Queries[i])
-		}
-	})
-	answers := pub.Marg.AnswerBatch(qs, pub.Req.P, s.cfg.QueryWorkers)
+	st.qs = resize(st.qs, h.n)
+	st.errs = resize(st.errs, h.n)
+	par.Striped(h.n, s.cfg.QueryWorkers, func(_, lo, hi int) { st.resolveQueries(pub, bin, lo, hi) })
+	st.answers = pub.Marg.AnswerBatchInto(st.answers, st.qs, pub.Req.P, s.cfg.QueryWorkers)
 
-	out := QueryResponse{ID: pub.ID, Answers: make([]QueryAnswer, len(answers))}
+	// One pass replaces each failed resolution's answer with its error,
+	// counts the errors and renders the answers for the encoder.
 	var errs uint64
-	for i, a := range answers {
-		aj := QueryAnswer{Count: a.Count, Estimate: a.Estimate}
-		if resolveErr[i] != nil {
-			aj = QueryAnswer{Error: resolveErr[i].Error()}
-		} else if a.Err != nil {
-			aj = QueryAnswer{Error: a.Err.Error()}
+	st.wans, st.janswers = st.wans[:0], st.janswers[:0]
+	for i := range st.answers {
+		a := &st.answers[i]
+		if st.errs[i] != nil {
+			*a = query.Answer{Err: st.errs[i]}
 		}
-		if aj.Error != "" {
+		if a.Err != nil {
 			errs++
 		}
-		out.Answers[i] = aj
+		if bin {
+			st.wans = append(st.wans, wireAnswer(a))
+		} else {
+			st.janswers = append(st.janswers, jsonAnswer(a))
+		}
 	}
-
-	out.Client = client
-	out.Charged = int64(len(req.Queries))
-	s.fillLedger(&out, bres)
-
+	l := s.ledgerOf(client, int64(h.n), bres)
 	s.queryBatches.Add(1)
-	s.queriesAnswered.Add(uint64(len(req.Queries)))
+	s.queriesAnswered.Add(uint64(h.n))
 	s.queryErrors.Add(errs)
 	elapsed := time.Since(start)
 	s.lat.Observe(elapsed)
-	out.ServeMicros = elapsed.Microseconds()
-	var err error
-	st.out, err = appendQueryResponse(st.out[:0], &out)
-	writeEncoded(w, http.StatusOK, st.out, err)
+	l.serveMicros = elapsed.Microseconds()
+	st.encodeQuery(w, bin, pub.ID, l)
 }
 
 // resolvePublication loads the ready publication behind id, handling the
@@ -672,17 +667,17 @@ type refreshRequest struct {
 
 func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	var req refreshRequest
-	if !s.decode(w, r, &req) {
+	if !ReadJSON(w, r, &req) {
 		return
 	}
 	e := s.reg.get(req.ID)
 	if e == nil {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no publication %q", req.ID))
+		WriteError(w, http.StatusNotFound, CodeNotFound, fmt.Errorf("no publication %q", req.ID))
 		return
 	}
 	if req.Wait {
 		if _, err := s.Refresh(req.ID); err != nil {
-			httpError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, CodeInternal, err)
 			return
 		}
 		WriteJSON(w, http.StatusOK, entryJSON(e, false))
@@ -783,76 +778,55 @@ type insertResponse struct {
 	TotalRecords int `json:"total_records"`
 }
 
+// handleInsert ingests one /insert batch: admit, resolve every record to
+// codes, check every code against its domain, apply, encode. Records in
+// either encoding cover the publication's original schema (incremental
+// publications never generalize, so original and served schemas
+// coincide). Inserts charge no exposure.
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	if isBinary(r) {
-		s.handleInsertBinary(w, r)
+	st := binPool.Get().(*binScratch)
+	defer binPool.Put(st)
+	bin := isBinary(r)
+	var ok bool
+	if st.body, ok = ReadBody(w, r, st.body); !ok {
 		return
 	}
-	var req insertRequest
-	if !s.decode(w, r, &req) {
+	h, err := st.decodeInsert(bin)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
-	if len(req.Records) == 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("no records"))
+	if !checkBatch(w, h.n, s.cfg.MaxInsert, "no records", "insert") {
 		return
 	}
-	if len(req.Records) > s.cfg.MaxInsert {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("insert of %d exceeds the limit %d", len(req.Records), s.cfg.MaxInsert))
-		return
-	}
-	pub, ok := s.resolvePublication(w, req.ID, req.Wait, false)
+	pub, ok := s.resolvePublication(w, h.id, h.wait, false)
 	if !ok {
 		return
 	}
-	e := s.reg.get(req.ID)
+	e := s.reg.get(h.id)
 	if e.inc == nil {
 		WriteError(w, http.StatusConflict, CodeNotIncremental,
-			fmt.Errorf("publication %q was published with method %q; only incremental publications accept inserts", req.ID, pub.Req.Method))
+			fmt.Errorf("publication %q was published with method %q; only incremental publications accept inserts", h.id, pub.Req.Method))
 		return
 	}
-	schema := pub.Orig
-	naIdx := schema.NAIndices()
-	keys := make([][]uint16, 0, len(req.Records))
-	sas := make([]uint16, 0, len(req.Records))
-	for ri, rec := range req.Records {
-		key := make([]uint16, len(naIdx))
-		for ki, ai := range naIdx {
-			label, ok := rec[schema.Attrs[ai].Name]
-			if !ok {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("record %d: missing attribute %q", ri, schema.Attrs[ai].Name))
-				return
-			}
-			code, err := schema.Attrs[ai].Code(label)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("record %d: %v", ri, err))
-				return
-			}
-			key[ki] = code
-		}
-		label, ok := rec[schema.SAAttr().Name]
-		if !ok {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("record %d: missing sensitive attribute %q", ri, schema.SAAttr().Name))
-			return
-		}
-		sa, err := schema.SAAttr().Code(label)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("record %d: %v", ri, err))
-			return
-		}
-		keys = append(keys, key)
-		sas = append(sas, sa)
+	rows, err := st.insertRows(pub.Orig, bin)
+	if err == nil {
+		err = st.admitRecords(pub.Orig, rows)
+	}
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, err)
+		return
 	}
 
-	resp, err := s.applyInsert(e, keys, sas)
+	resp, err := s.applyInsert(e, st.ikeys, st.isas)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, CodeInternal, err)
 		return
 	}
-	resp.ID = req.ID
+	resp.ID = h.id
 	s.inserts.Add(uint64(resp.Inserted))
 	s.absorbed.Add(uint64(resp.Absorbed))
-	WriteJSON(w, http.StatusOK, resp)
+	st.encodeInsert(w, bin, clientID(r, h.client), resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -1084,42 +1058,22 @@ func (s *Server) chargeExposure(w http.ResponseWriter, client, pubID string, n i
 	return res, false
 }
 
-// ledgerValues converts a budget charge result into the response ledger
-// numbers: the cumulative client total, the remaining window budget (-1 when
-// enforcement is disabled), whether those figures are exact or sketch upper
-// bounds, and whether the total crossed the operator warning threshold.
-func (s *Server) ledgerValues(res budget.Result) (total, remaining int64, exact, warn bool) {
-	total = res.Total
-	remaining = res.Remaining
-	if remaining == budget.Unlimited {
-		remaining = -1
+// ledgerOf assembles the response ledger of a batch charged for client:
+// the charge, the cumulative client total, the remaining window budget (-1
+// when enforcement is disabled), whether those figures are exact or sketch
+// upper bounds, and whether the total crossed the operator warning
+// threshold.
+func (s *Server) ledgerOf(client string, charged int64, res budget.Result) ledgerFields {
+	l := ledgerFields{client: client, charged: charged, clientQueries: res.Total,
+		remaining: res.Remaining, exact: res.Exact}
+	if l.remaining == budget.Unlimited {
+		l.remaining = -1
 	}
-	return total, remaining, res.Exact, s.cfg.ExposureWarn > 0 && total > s.cfg.ExposureWarn
-}
-
-// fillLedger copies a budget charge result into a query response.
-func (s *Server) fillLedger(out *QueryResponse, res budget.Result) {
-	out.ClientQueries, out.BudgetRemaining, out.BudgetExact, out.ExposureWarning = s.ledgerValues(res)
+	l.warn = s.cfg.ExposureWarn > 0 && l.clientQueries > s.cfg.ExposureWarn
+	return l
 }
 
 // --- JSON plumbing ---
-
-// maxBodyBytes bounds request bodies (a 100K-record insert of wide labels
-// fits comfortably).
-const maxBodyBytes = 64 << 20
-
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(dst); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
-		return false
-	}
-	return true
-}
 
 // WriteJSON sends v as one compact JSON document and a newline — the
 // response writer of every endpoint but the operator-facing /statsz and

@@ -157,7 +157,7 @@ type snapshotRequest struct {
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	var req snapshotRequest
-	if !s.decode(w, r, &req) {
+	if !ReadJSON(w, r, &req) {
 		return
 	}
 	snap, err := s.SnapshotPublication(req.ID)
@@ -170,7 +170,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	var snap PublicationSnapshot
-	if !s.decode(w, r, &snap) {
+	if !ReadJSON(w, r, &snap) {
 		return
 	}
 	e, err := s.RestorePublication(&snap)
